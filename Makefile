@@ -79,10 +79,11 @@ trace-demo:
 		-expr 'x1&x2 | x3&x4 | x5&x6 | x7&x8 | x9&x10 | x11&x12' \
 		-progress -json
 
-# Portfolio demo: the heuristic phase seeds a DP-vs-BnB race (watch the
-# lane_start/race_won/lane_canceled narration on stderr), then the same
-# solver under a 50ms deadline on a 14-variable parity chain degrades to
-# the heuristic incumbent instead of hanging.
+# Portfolio demo: the DP lane proves the optimum while the heuristic
+# seeder runs beside it (watch the lane_start/race_won/lane_canceled
+# narration on stderr), then the same solver under a 50ms deadline on a
+# 14-variable parity chain degrades to the seeder's incumbent instead of
+# hanging.
 portfolio-demo:
 	$(GO) run ./cmd/optobdd \
 		-expr 'x1&x2 | x3&x4 | x5&x6 | x7&x8' \

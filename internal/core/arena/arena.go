@@ -47,6 +47,7 @@ func (a *Arena) GetU32(size uint64) []uint32 {
 	if c < maxClass && uint64(1)<<uint(c) == size {
 		if l := a.free[c]; len(l) > 0 {
 			b := l[len(l)-1]
+			l[len(l)-1] = nil // the list must not keep a handed-out block alive
 			a.free[c] = l[:len(l)-1]
 			a.reuses++
 			return b[:size]
@@ -75,6 +76,55 @@ func (a *Arena) PutU32(b []uint32) {
 func (a *Arena) Reset() {
 	for i := range a.free {
 		a.free[i] = nil
+	}
+}
+
+// Rebalance caps and evens the free lists of arenas that served one
+// multi-worker run. Blocks retire into whichever arena happens to free
+// them, so without it one arena hoards every block a run retires while
+// the others allocate afresh on the next run, and the pooled arenas grow
+// without bound. Rebalance keeps at most limit cells in total, smallest
+// size classes first (they are the most numerous), deals each class out
+// as evenly as the block count allows and drops the rest for the GC. No
+// arena may be in use by another goroutine.
+func Rebalance(arenas []*Arena, limit uint64) {
+	k := len(arenas)
+	if k == 0 {
+		return
+	}
+	for c := 0; c < maxClass; c++ {
+		size := uint64(1) << uint(c)
+		total := 0
+		for _, a := range arenas {
+			total += len(a.free[c])
+		}
+		keep := min(uint64(total), limit/size)
+		limit -= keep * size
+		// Arena i ends with per blocks of the class, or per+1 for i < extra.
+		per, extra := int(keep)/k, int(keep)%k
+		target := func(i int) int {
+			if i < extra {
+				return per + 1
+			}
+			return per
+		}
+		// Move surplus blocks from donors to arenas below their target;
+		// whatever is left over on the donors is dropped.
+		recv := 0
+		for i, a := range arenas {
+			for len(a.free[c]) > target(i) {
+				l := a.free[c]
+				b := l[len(l)-1]
+				l[len(l)-1] = nil
+				a.free[c] = l[:len(l)-1]
+				for recv < k && len(arenas[recv].free[c]) >= target(recv) {
+					recv++
+				}
+				if recv < k {
+					arenas[recv].free[c] = append(arenas[recv].free[c], b)
+				}
+			}
+		}
 	}
 }
 

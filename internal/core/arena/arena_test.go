@@ -127,3 +127,36 @@ func TestDedupGrowAfterShrink(t *testing.T) {
 		}
 	}
 }
+
+func TestRebalanceEvensAndCaps(t *testing.T) {
+	var a, b Arena
+	var blocks [][]uint32
+	for i := 0; i < 7; i++ {
+		blocks = append(blocks, a.GetU32(4))
+	}
+	for i := 0; i < 3; i++ {
+		blocks = append(blocks, a.GetU32(16))
+	}
+	for _, blk := range blocks {
+		a.PutU32(blk) // every retired block lands in one arena
+	}
+	// 7 blocks of 4 cells fit whole (28 cells); the 36 left admit two of
+	// the three 16-cell blocks.
+	Rebalance([]*Arena{&a, &b}, 64)
+	if got := [2]int{len(a.free[2]), len(b.free[2])}; got != [2]int{4, 3} {
+		t.Errorf("4-cell blocks per arena = %v, want [4 3]", got)
+	}
+	if got := [2]int{len(a.free[4]), len(b.free[4])}; got != [2]int{1, 1} {
+		t.Errorf("16-cell blocks per arena = %v, want [1 1]", got)
+	}
+	// The dropped block's slot is cleared, so the list does not keep it alive.
+	if l := a.free[4]; cap(l) > len(l) && l[:cap(l)][len(l)] != nil {
+		t.Error("a dropped block is still referenced past the end of the free list")
+	}
+	Rebalance([]*Arena{&a, &b}, 0)
+	for c := range a.free {
+		if len(a.free[c])+len(b.free[c]) != 0 {
+			t.Fatalf("class %d keeps blocks under a zero limit", c)
+		}
+	}
+}

@@ -3,25 +3,22 @@ package core
 import (
 	stdctx "context"
 	"fmt"
-	"runtime/pprof"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
+	"obddopt/internal/core/lattice"
 	"obddopt/internal/obs"
 	"obddopt/internal/truthtable"
 )
 
-// This file is the portfolio engine and the named-solver registry behind
-// the top-level Solve API. The portfolio races the two exact strategies
-// with complementary cost profiles — the Friedman–Supowit dynamic program
-// (predictable O*(3^n) work, no usable incumbent until it finishes) and
-// branch-and-bound (unpredictable but often far cheaper when seeded with
-// a tight bound, carries an incumbent throughout) — after a cheap
-// heuristic phase whose incumbent both seeds the branch-and-bound bound
-// and serves as the graceful-degradation answer when a deadline or budget
-// stops the race before either lane proves optimality.
+// This file is the portfolio policy and the named-solver registry behind
+// the top-level Solve API. The portfolio runs the Friedman–Supowit dynamic
+// program — exact, with O*(3^n) work and a peak that depends on n alone —
+// and keeps a cheap heuristic incumbent as the graceful-degradation answer
+// for a run a deadline or budget stops. Branch-and-bound, whose one real
+// advantage is its Θ(2^n) peak, runs only when a cell budget rules the
+// dynamic program out.
 
 // SolveOptions is the option set shared by every registered solver. It is
 // a superset of the per-algorithm option structs: fields irrelevant to a
@@ -30,19 +27,20 @@ import (
 type SolveOptions struct {
 	// Rule selects the diagram variant (OBDD or ZDD).
 	Rule Rule
-	// Meter, if non-nil, accumulates operation counts. The portfolio
-	// gives each lane a private meter and merges them after all lanes
-	// have joined, so the final counters aggregate the whole race.
+	// Meter, if non-nil, accumulates operation counts. The portfolio runs
+	// its exact lane on it directly, so its counters equal that solver's.
 	Meter *Meter
 	// Trace, if non-nil, receives the solver's events; the portfolio
 	// additionally emits lane_start / lane_result / race_won /
 	// lane_canceled events. Implementations must be safe for concurrent
-	// Emit calls (all of internal/obs's are).
+	// Emit calls (all of internal/obs's are): the portfolio's seeder
+	// emits from its own goroutine.
 	Trace obs.Tracer
 	// Budget bounds the run's resources; the zero value is unlimited.
-	// The portfolio applies the budget to each lane independently.
+	// The portfolio picks its exact lane by the cell budget and applies
+	// the budget to it.
 	Budget Budget
-	// Workers is the goroutine count for the parallel DP lanes; 0 selects
+	// Workers is the goroutine count for the parallel DP; 0 selects
 	// GOMAXPROCS.
 	Workers int
 	// ShardBits overrides the work-stealing scheduler's shard granularity:
@@ -186,71 +184,88 @@ func init() {
 	RegisterSolver("portfolio", Portfolio)
 }
 
-// parallelLaneThreshold is the variable count above which the portfolio's
-// DP lane uses the multi-core dynamic program: below it the layers are
-// too small for the fan-out to pay for goroutine coordination.
+// parallelLaneThreshold is the variable count above which the portfolio
+// runs the multi-core dynamic program: below it the layers are too small
+// for the fan-out to pay for goroutine coordination.
 const parallelLaneThreshold = 12
 
-// laneOutcome is one exact lane's final state.
-type laneOutcome struct {
-	name    string
-	res     *Result
-	err     error
-	meter   *Meter
-	elapsed time.Duration
+// dpPeakCells predicts Meter.PeakCells of the serial dynamic program
+// ("fs") on any n-variable function under either rule. Table sizes depend
+// on n and the layer k alone, never on the function: while layer k is
+// built, the base table, the completed layer k−1, every layer-k table and
+// one transient candidate (allocated before it is kept or dropped) are
+// live. At k = 1 the base table is the previous layer and no candidate is
+// ever dropped, since each layer-1 subset has a single predecessor.
+func dpPeakCells(n int) uint64 {
+	base := uint64(1) << uint(n)
+	rk := lattice.For(n)
+	peak := base
+	for k := 1; k <= n; k++ {
+		live := base + rk.LayerSize(k)*(base>>uint(k))
+		if k > 1 {
+			live += rk.LayerSize(k-1)*(base>>uint(k-1)) + base>>uint(k)
+		}
+		peak = max(peak, live)
+	}
+	return peak
 }
 
-// Portfolio is the registered "portfolio" solver: a heuristic phase
-// (DefaultSeeder — Sift then simulated annealing) followed by a race
-// between the Friedman–Supowit dynamic program (parallel above
-// parallelLaneThreshold variables) and branch-and-bound seeded with the
-// heuristic incumbent. The first lane to prove optimality wins and the
-// loser is canceled. The returned cost is exact whenever err is nil —
-// both lanes are exact algorithms, so the race only changes which proof
-// arrives first, never the answer.
-//
-// On cancellation or budget exhaustion before either lane finishes, the
-// heuristic incumbent (or the best incumbent of the branch-and-bound
-// lane, whichever is better) is returned alongside the error, so callers
-// degrade to a valid — merely unproven — ordering instead of nothing.
-func Portfolio(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*Result, error) {
-	rule, tr := opts.rule(), opts.trace()
-	budget := opts.budget()
-	n := tt.NumVars()
-	start := time.Now()
-	sp := obs.SpanFromContext(ctx)
+// bnbPeakCells is branch-and-bound's peak: the tables along one DFS path,
+// 2^n + 2^(n−1) + … + 1 cells.
+func bnbPeakCells(n int) uint64 { return uint64(2)<<uint(n) - 1 }
 
-	// Phase 1: heuristic seeding. Runs inline (it is polynomial-time and
-	// brief next to the exact lanes) but under ctx, so a short deadline
-	// still yields a best-so-far incumbent.
+// Portfolio is the registered "portfolio" solver, the default behind
+// Solve and the solve service: a deterministic DP-first policy around
+// the Friedman–Supowit dynamic program, with the heuristic seeder
+// (DefaultSeeder — Sift then simulated annealing) kept only as the
+// incumbent for runs that stop early. The returned cost is exact
+// whenever err is nil.
+//
+//   - Default: the dynamic program runs inline on the caller's Meter and
+//     Tracer — "fs", or "parallel" above parallelLaneThreshold variables
+//     when no cell budget is set (a cell budget keeps the serial DP, the
+//     one whose peak dpPeakCells predicts exactly). The seeder runs
+//     alongside on one goroutine and is canceled once the DP succeeds,
+//     so a completed run returns exactly what "fs" returns.
+//   - When Budget.MaxCells is below the DP's predicted peak but admits
+//     branch-and-bound's Θ(2^n) path, the seeder runs first and
+//     branch-and-bound runs inline, bounded by the seeder's cost plus one.
+//
+// On cancellation or budget exhaustion the best incumbent — the seeder's,
+// or branch-and-bound's — is returned alongside the error, so callers
+// degrade to a valid, merely unproven, ordering instead of nothing.
+func Portfolio(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*Result, error) {
+	n, rule, tr, budget := tt.NumVars(), opts.rule(), opts.trace(), opts.budget()
+	sp, start := obs.SpanFromContext(ctx), time.Now()
 	seeder := DefaultSeeder
 	if opts != nil && opts.Seeder != nil {
 		seeder = opts.Seeder
+	}
+	// narrate reports one lane event to the tracer and the request span.
+	narrate := func(ev obs.Event) {
+		if tr != nil {
+			tr.Emit(ev)
+		}
+		if sp != nil {
+			sp.Event(ev.Kind.String() + ":" + ev.Lane)
+		}
 	}
 	var (
 		incOrder truthtable.Ordering
 		incCost  uint64
 		haveInc  bool
 	)
-	if seeder != nil {
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: obs.KindLaneStart, Lane: "heuristic"})
+	seed := func(c stdctx.Context) time.Duration {
+		t := time.Now()
+		incOrder, incCost, haveInc = seeder(c, tt, rule, tr)
+		return time.Since(t)
+	}
+	seedDone := func(elapsed time.Duration) {
+		ev := obs.Event{Kind: obs.KindLaneResult, Lane: "heuristic", Elapsed: elapsed}
+		if haveInc {
+			ev.Cost = incCost
 		}
-		if sp != nil {
-			sp.Event("lane_start:heuristic")
-		}
-		heurStart := time.Now()
-		incOrder, incCost, haveInc = seeder(ctx, tt, rule, tr)
-		if sp != nil {
-			sp.Event("lane_result:heuristic")
-		}
-		if tr != nil {
-			ev := obs.Event{Kind: obs.KindLaneResult, Lane: "heuristic", Elapsed: time.Since(heurStart)}
-			if haveInc {
-				ev.Cost = incCost
-			}
-			tr.Emit(ev)
-		}
+		narrate(ev)
 	}
 	incumbent := func() *Result {
 		if !haveInc {
@@ -258,143 +273,98 @@ func Portfolio(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*R
 		}
 		return finishResult(tt, nil, incOrder, incCost, rule, nil)
 	}
-	if ctx != nil && ctx.Err() != nil {
-		return incumbent(), fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
+	// exact runs one exact lane inline on the caller's meter (a private
+	// one when the caller has none, so the per-lane histograms still see
+	// the lane's counts); its success is the portfolio's answer.
+	exact := func(name string, run func(*Meter) (*Result, error)) (*Result, error) {
+		narrate(obs.Event{Kind: obs.KindLaneStart, Lane: name})
+		m := opts.meter()
+		if m == nil {
+			m = &Meter{}
+		}
+		// Gauge the lane's own peak, then restore the caller's
+		// high-water mark if it was higher.
+		cells, live, peak := m.CellOps, m.LiveCells, m.PeakCells
+		m.PeakCells = live
+		t := time.Now()
+		res, err := run(m)
+		elapsed := time.Since(t)
+		obs.Hist(obs.HistNameLaneWall, "lane", name).RecordDuration(elapsed)
+		obs.Hist(obs.HistNameLaneCells, "lane", name).Record(m.CellOps - cells)
+		obs.Hist(obs.HistNameLanePeak, "lane", name).Record(m.PeakCells - live)
+		m.PeakCells = max(m.PeakCells, peak)
+		if res != nil {
+			narrate(obs.Event{Kind: obs.KindLaneResult, Lane: name, Cost: res.MinCost, Elapsed: elapsed})
+		}
+		if err == nil {
+			narrate(obs.Event{Kind: obs.KindRaceWon, Lane: name, Cost: res.MinCost, Elapsed: time.Since(start)})
+		}
+		return res, err
 	}
 
-	// Phase 2: race the exact lanes. Each lane gets a private meter (so
-	// worker accounting never races) and the same per-lane budget; the
-	// first successful finisher cancels the other.
-	raceCtx, cancel := stdctx.WithCancel(ctxOrBackground(ctx))
-	defer cancel()
-
-	dpName := "fs"
-	if n > parallelLaneThreshold {
-		dpName = "parallel"
-	}
-	lanes := []struct {
-		name string
-		run  func(stdctx.Context, *Meter) (*Result, error)
-	}{
-		{dpName, func(c stdctx.Context, m *Meter) (*Result, error) {
-			laneOpts := &SolveOptions{
-				Rule: rule, Meter: m, Trace: tr, Budget: budget,
-				Workers: opts.workers(), ShardBits: opts.shardBits(), Pinned: opts.pinnedSchedule(),
-			}
-			if dpName == "parallel" {
-				return OptimalOrderingParallel(c, tt, laneOpts)
-			}
-			return OptimalOrderingCtx(c, tt, laneOpts)
-		}},
-		{"bnb", func(c stdctx.Context, m *Meter) (*Result, error) {
+	if c := budget.MaxCells; c > 0 && c < dpPeakCells(n) && c >= bnbPeakCells(n) {
+		if seeder != nil {
+			narrate(obs.Event{Kind: obs.KindLaneStart, Lane: "heuristic"})
+			seedDone(seed(ctx))
+		}
+		if ctx != nil && ctx.Err() != nil {
+			return incumbent(), fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
+		}
+		res, err := exact("bnb", func(m *Meter) (*Result, error) {
 			o := &BnBOptions{Rule: rule, Meter: m, Trace: tr, Budget: budget}
 			if haveInc {
-				// Seed one above the incumbent so a truly-optimal
-				// incumbent is still rediscovered (and thereby proven)
-				// rather than pruned away.
+				// One above the incumbent, so a truly optimal incumbent
+				// is still rediscovered (and thereby proven) rather than
+				// pruned away.
 				o.InitialBound = incCost + 1
 			}
-			return BranchAndBoundCtx(c, tt, o)
-		}},
-	}
-
-	results := make(chan laneOutcome, len(lanes))
-	for _, lane := range lanes {
-		lane := lane
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: obs.KindLaneStart, Lane: lane.name})
-		}
-		if sp != nil {
-			sp.Event("lane_start:" + lane.name)
-		}
-		// Each lane goroutine runs under pprof labels so a CPU profile of
-		// a racing process attributes samples to the lane's solver, problem
-		// size and rule rather than one undifferentiated Portfolio frame.
-		labels := pprof.Labels("solver", lane.name, "n", strconv.Itoa(n), "rule", rule.String())
-		go pprof.Do(raceCtx, labels, func(c stdctx.Context) {
-			m := &Meter{}
-			laneStart := time.Now()
-			res, err := lane.run(c, m)
-			results <- laneOutcome{name: lane.name, res: res, err: err, meter: m, elapsed: time.Since(laneStart)}
+			return BranchAndBoundCtx(ctx, tt, o)
 		})
+		// Branch-and-bound's own incumbent comes from exact search below
+		// the seeder's bound, so it is the better one whenever it exists.
+		if err != nil && res == nil {
+			res = incumbent()
+		}
+		return res, err
 	}
 
-	var winner, loserInc *laneOutcome
-	var firstErr error
-	outcomes := make([]laneOutcome, 0, len(lanes))
-	for range lanes {
-		out := <-results
-		outcomes = append(outcomes, out)
-		// Per-lane distributions, recorded unconditionally (once per lane
-		// per race — negligible next to the lane itself): wall time, cells
-		// touched, and the lane's peak live-cell footprint.
-		obs.Hist(obs.HistNameLaneWall, "lane", out.name).RecordDuration(out.elapsed)
-		obs.Hist(obs.HistNameLaneCells, "lane", out.name).Record(out.meter.CellOps)
-		obs.Hist(obs.HistNameLanePeak, "lane", out.name).Record(out.meter.PeakCells)
-		if sp != nil {
-			sp.Event("lane_done:" + out.name)
-		}
-		// A lane that died without a result (typically: canceled after the
-		// race was decided) emits only lane_canceled below, not a
-		// misleading zero-cost lane_result.
-		if tr != nil && (out.err == nil || out.res != nil) {
-			tr.Emit(obs.Event{Kind: obs.KindLaneResult, Lane: out.name, Cost: out.res.MinCost, Elapsed: out.elapsed})
-		}
-		switch {
-		case out.err == nil:
-			if winner == nil {
-				w := out
-				winner = &w
-				if tr != nil {
-					tr.Emit(obs.Event{Kind: obs.KindRaceWon, Lane: out.name, Cost: out.res.MinCost, Elapsed: time.Since(start)})
-				}
-				if sp != nil {
-					sp.Event("race_won:" + out.name)
-				}
-				cancel()
-			}
+	name, dp := "fs", OptimalOrderingCtx
+	if n > parallelLaneThreshold && budget.MaxCells == 0 {
+		name, dp = "parallel", OptimalOrderingParallel
+	}
+	var dpOpts SolveOptions
+	if opts != nil {
+		dpOpts = *opts
+	}
+	solveDP := func(m *Meter) (*Result, error) {
+		dpOpts.Meter = m
+		return dp(ctx, tt, &dpOpts)
+	}
+	if seeder == nil {
+		return exact(name, solveDP)
+	}
+	seedCtx, cancelSeed := stdctx.WithCancel(ctxOrBackground(ctx))
+	defer cancelSeed()
+	narrate(obs.Event{Kind: obs.KindLaneStart, Lane: "heuristic"})
+	seeded := make(chan time.Duration, 1)
+	go func() { seeded <- seed(seedCtx) }()
+	res, err := exact(name, solveDP)
+	if err == nil {
+		select {
+		case elapsed := <-seeded:
+			seedDone(elapsed)
 		default:
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if out.res != nil && (loserInc == nil || out.res.MinCost < loserInc.res.MinCost) {
-				l := out
-				loserInc = &l
-			}
-			if winner != nil && tr != nil {
-				tr.Emit(obs.Event{Kind: obs.KindLaneCanceled, Lane: out.name})
-			}
+			cancelSeed()
+			<-seeded
+			narrate(obs.Event{Kind: obs.KindLaneCanceled, Lane: "heuristic"})
 		}
+		return res, nil
 	}
-
-	// All lanes have joined; merging their private meters into the
-	// caller's is now race-free.
-	if m := opts.meter(); m != nil {
-		for _, out := range outcomes {
-			m.CellOps += out.meter.CellOps
-			m.Compactions += out.meter.Compactions
-			m.Evaluations += out.meter.Evaluations
-			// Each lane frees everything it owns on both paths, so lane
-			// LiveCells is 0 here; fold the lane's peak into the
-			// caller's as if the lane had run on the caller's meter.
-			if p := m.LiveCells + out.meter.PeakCells; p > m.PeakCells {
-				m.PeakCells = p
-			}
-			m.LiveCells += out.meter.LiveCells
-		}
-	}
-
-	if winner != nil {
-		return winner.res, nil
-	}
-	// No lane finished: degrade to the best incumbent available — the
-	// branch-and-bound lane's (exact search, so at least as good as its
-	// seed) or the heuristic's.
-	best := incumbent()
-	if loserInc != nil && (best == nil || loserInc.res.MinCost < best.MinCost) {
-		best = loserInc.res
-	}
-	return best, firstErr
+	// The DP stopped early and holds no incumbent. A deadline has already
+	// stopped the seeder with its best-so-far; under an exhausted budget
+	// it runs to completion, its answer being the only one left.
+	seedDone(<-seeded)
+	return incumbent(), err
 }
 
 // ctxOrBackground keeps nil-context callers working with the stdlib

@@ -9,6 +9,7 @@ import (
 	stdctx "context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -78,8 +79,10 @@ func TestPortfolioDeadlineReturnsIncumbent(t *testing.T) {
 }
 
 // TestPortfolioTraceShowsWinner is the acceptance trace check: a
-// completed portfolio run emits lane_start events for every lane and
-// exactly one race_won naming an exact lane.
+// completed portfolio run emits lane_start for the seeder and the DP
+// lane, exactly one race_won naming the DP lane, and a final event for
+// the seeder (lane_result if it finished first, lane_canceled if the
+// DP's success stopped it).
 func TestPortfolioTraceShowsWinner(t *testing.T) {
 	tt := truthtable.Random(8, rand.New(rand.NewSource(5)))
 	rec := obs.NewRecorder()
@@ -87,20 +90,27 @@ func TestPortfolioTraceShowsWinner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Count(obs.KindLaneStart) < 3 {
-		t.Errorf("lane_start events = %d, want ≥ 3 (heuristic + 2 exact lanes)", rec.Count(obs.KindLaneStart))
+	if rec.Count(obs.KindLaneStart) != 2 {
+		t.Errorf("lane_start events = %d, want 2 (heuristic + DP lane)", rec.Count(obs.KindLaneStart))
 	}
 	var won []obs.Event
+	seederEnds := 0
 	for _, ev := range rec.Events() {
-		if ev.Kind == obs.KindRaceWon {
+		switch {
+		case ev.Kind == obs.KindRaceWon:
 			won = append(won, ev)
+		case ev.Lane == "heuristic" && (ev.Kind == obs.KindLaneResult || ev.Kind == obs.KindLaneCanceled):
+			seederEnds++
 		}
+	}
+	if seederEnds != 1 {
+		t.Errorf("seeder lane_result/lane_canceled events = %d, want exactly 1", seederEnds)
 	}
 	if len(won) != 1 {
 		t.Fatalf("race_won events = %d, want exactly 1", len(won))
 	}
-	if lane := won[0].Lane; lane != "fs" && lane != "parallel" && lane != "bnb" {
-		t.Errorf("race won by %q, want an exact lane", lane)
+	if lane := won[0].Lane; lane != "fs" {
+		t.Errorf("race won by %q, want the DP lane fs", lane)
 	}
 	if won[0].Cost != res.MinCost {
 		t.Errorf("race_won cost %d != result MinCost %d", won[0].Cost, res.MinCost)
@@ -111,8 +121,8 @@ func TestPortfolioTraceShowsWinner(t *testing.T) {
 		col.Emit(ev)
 	}
 	rep := col.Report()
-	if rep.Portfolio == nil || rep.Portfolio.Winner == "" {
-		t.Errorf("collector report has no portfolio winner: %+v", rep.Portfolio)
+	if rep.Portfolio == nil || rep.Portfolio.Winner != "fs" {
+		t.Errorf("collector report portfolio winner = %+v, want fs", rep.Portfolio)
 	}
 }
 
@@ -129,6 +139,118 @@ func TestPortfolioBudget(t *testing.T) {
 	}
 	if len(res.Ordering) != 10 || !res.Ordering.Valid() {
 		t.Fatalf("incumbent ordering %v invalid", res.Ordering)
+	}
+}
+
+// TestPortfolioMatchesFSExactly checks that a completed default-branch
+// run is the dynamic program itself: the same optimum, ordering and
+// profile as "fs", and — since the DP runs on the caller's meter — the
+// same CellOps, Compactions and PeakCells.
+func TestPortfolioMatchesFSExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, rule := range []core.Rule{core.OBDD, core.ZDD} {
+		for n := 0; n <= 12; n++ {
+			tt := truthtable.Random(n, rng)
+			var mf, mp core.Meter
+			want, err := core.OptimalOrderingCtx(stdctx.Background(), tt, &core.SolveOptions{Rule: rule, Meter: &mf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := core.Portfolio(stdctx.Background(), tt, &core.SolveOptions{Rule: rule, Meter: &mp})
+			if err != nil {
+				t.Fatalf("rule %v n=%d: %v", rule, n, err)
+			}
+			if got.MinCost != want.MinCost || !got.Ordering.Equal(want.Ordering) || !equalU64(got.Profile, want.Profile) {
+				t.Errorf("rule %v n=%d: portfolio (%d, %v, %v) != fs (%d, %v, %v)", rule, n,
+					got.MinCost, got.Ordering, got.Profile, want.MinCost, want.Ordering, want.Profile)
+			}
+			if mp != mf {
+				t.Errorf("rule %v n=%d: portfolio meter %+v != fs meter %+v", rule, n, mp, mf)
+			}
+		}
+	}
+}
+
+func equalU64(a, b []uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPortfolioBudgetBranch checks the low-memory branch: a cell budget
+// that admits branch-and-bound's 2^(n+1)−1 peak but not the DP's still
+// gets the exact optimum, proven by branch-and-bound.
+func TestPortfolioBudgetBranch(t *testing.T) {
+	const n = 10
+	rng := rand.New(rand.NewSource(41))
+	for _, rule := range []core.Rule{core.OBDD, core.ZDD} {
+		tt := truthtable.Random(n, rng)
+		want := core.OptimalOrdering(tt, &core.SolveOptions{Rule: rule})
+		for _, cells := range []uint64{1<<(n+1) - 1, 10000} {
+			rec := obs.NewRecorder()
+			m := &core.Meter{}
+			got, err := core.Portfolio(stdctx.Background(), tt, &core.SolveOptions{
+				Rule: rule, Meter: m, Trace: rec, Budget: core.Budget{MaxCells: cells},
+			})
+			if err != nil {
+				t.Fatalf("rule %v MaxCells %d: %v", rule, cells, err)
+			}
+			if got.MinCost != want.MinCost {
+				t.Errorf("rule %v MaxCells %d: MinCost %d, fs optimum %d", rule, cells, got.MinCost, want.MinCost)
+			}
+			if got.Size != core.SizeUnder(tt, got.Ordering, rule, nil) {
+				t.Errorf("rule %v MaxCells %d: reported size not achieved by the ordering", rule, cells)
+			}
+			if m.PeakCells > cells || m.LiveCells != 0 {
+				t.Errorf("rule %v MaxCells %d: peak %d live %d", rule, cells, m.PeakCells, m.LiveCells)
+			}
+			for _, ev := range rec.Events() {
+				if ev.Kind == obs.KindRaceWon && ev.Lane != "bnb" {
+					t.Errorf("rule %v MaxCells %d: won by %q, want bnb", rule, cells, ev.Lane)
+				}
+			}
+		}
+	}
+}
+
+// TestPortfolioNoGoroutineLeak checks that the seeder goroutine is
+// joined before Portfolio returns, on a completed, a deadline-stopped
+// and a budget-stopped solve. The seeder here takes 5ms to wind down
+// after the default pipeline returns, so a solve that returned without
+// joining it would leave it counted.
+func TestPortfolioNoGoroutineLeak(t *testing.T) {
+	slow := func(ctx stdctx.Context, tt *truthtable.Table, rule core.Rule, tr obs.Tracer) (truthtable.Ordering, uint64, bool) {
+		defer time.Sleep(5 * time.Millisecond)
+		return core.DefaultSeeder(ctx, tt, rule, tr)
+	}
+	rng := rand.New(rand.NewSource(3))
+	deadline, cancel := stdctx.WithTimeout(stdctx.Background(), 20*time.Millisecond)
+	defer cancel()
+	for _, c := range []struct {
+		name    string
+		ctx     stdctx.Context
+		n       int
+		budget  core.Budget
+		wantErr error
+	}{
+		{"completed", stdctx.Background(), 8, core.Budget{}, nil},
+		{"deadline", deadline, 14, core.Budget{}, core.ErrCanceled},
+		{"budget", stdctx.Background(), 9, core.Budget{MaxNodes: 10}, core.ErrBudgetExceeded},
+	} {
+		before := runtime.NumGoroutine()
+		_, err := core.Portfolio(c.ctx, truthtable.Random(c.n, rng), &core.SolveOptions{Budget: c.budget, Seeder: slow})
+		if !errors.Is(err, c.wantErr) {
+			t.Fatalf("%s: err = %v, want %v", c.name, err, c.wantErr)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: goroutines: %d before, %d after the solve returned", c.name, before, after)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"obddopt/internal/bitops"
+	"obddopt/internal/core/arena"
 	"obddopt/internal/core/lattice"
 	"obddopt/internal/obs"
 	"obddopt/internal/truthtable"
@@ -724,7 +725,9 @@ func countWidth(src []uint32, pos uint, rule Rule, labels []uint32, seen []uint3
 
 // releaseAll frees every engine-owned table still live (abort path, or
 // the normal path after the final table is consumed) and returns the
-// workers' workspaces to the pool.
+// workers' workspaces to the pool. Retired blocks gather in whichever
+// arena freed them, so before pooling, the workers' free lists are
+// evened out and capped at the run's peak — what one run can reuse.
 func (e *wsEngine) releaseAll() {
 	ar := e.workers[0].ws.ar
 	for j := 1; j <= e.n; j++ {
@@ -737,6 +740,11 @@ func (e *wsEngine) releaseAll() {
 			}
 		}
 	}
+	arenas := make([]*arena.Arena, len(e.workers))
+	for w, wk := range e.workers {
+		arenas[w] = wk.ws.ar
+	}
+	arena.Rebalance(arenas, uint64(e.peak.Load()))
 	for _, wk := range e.workers {
 		wk.ws.release()
 		wk.ws = nil
@@ -796,9 +804,8 @@ func OptimalOrderingParallel(ctx stdctx.Context, tt *truthtable.Table, opts *Sol
 	}
 	wg.Wait()
 
-	// All workers have joined: merge the per-worker lane meters (the
-	// portfolio idiom) and fold the engine's cell gauge into the
-	// caller's meter at run granularity.
+	// All workers have joined: merge the per-worker meters and fold the
+	// engine's cell gauge into the caller's meter at run granularity.
 	var shards, steals uint64
 	for _, wk := range e.workers {
 		lm := wk.meter

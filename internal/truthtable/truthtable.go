@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"obddopt/internal/bitops"
@@ -333,22 +334,25 @@ func Random(n int, rng *rand.Rand) *Table {
 // (most significant cell first), prefixed by the variable count:
 // "n:hexdigits". Tables with n < 2 are padded to one hex digit.
 func (t *Table) Hex() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d:", t.n)
 	size := t.Size()
-	digits := int((size + 3) / 4)
-	for d := digits - 1; d >= 0; d-- {
-		var nib uint64
-		for b := 0; b < 4; b++ {
-			idx := uint64(d*4 + b)
-			if idx < size && t.Bit(idx) {
-				nib |= 1 << uint(b)
-			}
+	digits := (size + 3) / 4
+	buf := strconv.AppendInt(make([]byte, 0, 4+digits), int64(t.n), 10)
+	buf = append(buf, ':')
+	out := buf[len(buf) : len(buf)+int(digits)]
+	// Digit d holds cells 4d..4d+3, which sit in one word: nibble d&15 of
+	// word d/16. Digits are written most significant first.
+	for d := range out {
+		c := digits - 1 - uint64(d)
+		nib := t.words[c>>4] >> ((c & 15) * 4) & 0xf
+		if size < 4 {
+			nib &= 1<<size - 1
 		}
-		fmt.Fprintf(&sb, "%x", nib)
+		out[d] = hexDigits[nib]
 	}
-	return sb.String()
+	return string(buf[:len(buf)+len(out)])
 }
+
+const hexDigits = "0123456789abcdef"
 
 // ParseHex parses the format produced by Hex.
 func ParseHex(s string) (*Table, error) {
@@ -356,8 +360,8 @@ func ParseHex(s string) (*Table, error) {
 	if colon < 0 {
 		return nil, errors.New("truthtable: missing ':' in hex literal")
 	}
-	var n int
-	if _, err := fmt.Sscanf(s[:colon], "%d", &n); err != nil {
+	n, err := strconv.Atoi(s[:colon])
+	if err != nil {
 		return nil, fmt.Errorf("truthtable: bad variable count %q", s[:colon])
 	}
 	if n < 0 || n > MaxVars {
@@ -373,7 +377,7 @@ func ParseHex(s string) (*Table, error) {
 	}
 	t := New(n)
 	for pos, ch := range hexpart {
-		d := digits - 1 - pos // digit index from least significant
+		d := uint64(digits - 1 - pos) // digit index from least significant
 		var nib uint64
 		switch {
 		case ch >= '0' && ch <= '9':
@@ -385,12 +389,10 @@ func ParseHex(s string) (*Table, error) {
 		default:
 			return nil, fmt.Errorf("truthtable: invalid hex digit %q", ch)
 		}
-		for b := 0; b < 4; b++ {
-			idx := uint64(d*4 + b)
-			if idx < size && nib>>uint(b)&1 == 1 {
-				t.setBit(idx)
-			}
+		if size < 4 {
+			nib &= 1<<size - 1 // bits past the last cell are ignored
 		}
+		t.words[d>>4] |= nib << ((d & 15) * 4)
 	}
 	return t, nil
 }

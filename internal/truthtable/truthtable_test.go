@@ -1,7 +1,9 @@
 package truthtable
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -211,6 +213,95 @@ func TestParseHexErrors(t *testing.T) {
 	for _, s := range bad {
 		if _, err := ParseHex(s); err == nil {
 			t.Errorf("ParseHex(%q) should fail", s)
+		}
+	}
+}
+
+// hexReference is the original digit-at-a-time encoder, kept as the
+// oracle the word-at-a-time Hex must match byte for byte.
+func hexReference(t *Table) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%d:", t.n)
+	size := t.Size()
+	digits := int((size + 3) / 4)
+	for d := digits - 1; d >= 0; d-- {
+		var nib uint64
+		for b := 0; b < 4; b++ {
+			idx := uint64(d*4 + b)
+			if idx < size && t.Bit(idx) {
+				nib |= 1 << uint(b)
+			}
+		}
+		fmt.Fprintf(&sb, "%x", nib)
+	}
+	return sb.String()
+}
+
+func TestHexMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n <= 16; n++ {
+		for _, f := range []*Table{Random(n, rng), Random(n, rng), Const(n, false), Const(n, true)} {
+			got, want := f.Hex(), hexReference(f)
+			if got != want {
+				t.Fatalf("n=%d: Hex = %.40q…, reference %.40q…", n, got, want)
+			}
+			g, err := ParseHex(got)
+			if err != nil {
+				t.Fatalf("ParseHex(Hex) n=%d: %v", n, err)
+			}
+			if !f.Equal(g) {
+				t.Fatalf("n=%d: round trip changed the table", n)
+			}
+		}
+	}
+	// Digits past the last cell of a sub-nibble table are ignored.
+	for _, c := range []struct{ in, out string }{{"0:f", "0:1"}, {"1:e", "1:2"}, {"1:F", "1:3"}} {
+		f, err := ParseHex(c.in)
+		if err != nil {
+			t.Fatalf("ParseHex(%q): %v", c.in, err)
+		}
+		if got := f.Hex(); got != c.out {
+			t.Errorf("ParseHex(%q).Hex() = %q, want %q", c.in, got, c.out)
+		}
+	}
+}
+
+func TestParseHexErrorMessages(t *testing.T) {
+	for _, c := range []struct{ in, msg string }{
+		{"", "truthtable: missing ':' in hex literal"},
+		{"abc", "truthtable: missing ':' in hex literal"},
+		{"x:0", `truthtable: bad variable count "x"`},
+		{":0", `truthtable: bad variable count ""`},
+		{"-1:a", "truthtable: variable count -1 out of range"},
+		{"99:0", "truthtable: variable count 99 out of range"},
+		{"2:aaa", "truthtable: expected 1 hex digits for n=2, got 3"},
+		{"30:", "truthtable: expected 268435456 hex digits for n=30, got 0"},
+		{"3:xy", "truthtable: invalid hex digit 'x'"},
+		{"3:g0", "truthtable: invalid hex digit 'g'"},
+	} {
+		_, err := ParseHex(c.in)
+		if err == nil || err.Error() != c.msg {
+			t.Errorf("ParseHex(%q) error = %v, want %q", c.in, err, c.msg)
+		}
+	}
+}
+
+var hexSink string
+
+func BenchmarkHex(b *testing.B) {
+	f := Random(12, rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		hexSink = f.Hex()
+	}
+}
+
+func BenchmarkParseHex(b *testing.B) {
+	s := Random(12, rand.New(rand.NewSource(1))).Hex()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseHex(s); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -18,9 +18,10 @@
 //	}
 //	fmt.Println(res.Size, res.Ordering) // 8 (x1, x2, x3, x4, x5, x6)
 //
-// Solve races the exact solvers behind a heuristic seed (the portfolio)
-// and honors context cancellation, deadlines (WithDeadline) and resource
-// budgets (WithBudget); WithSolver selects a single strategy. The same
+// Solve runs the Friedman–Supowit dynamic program with a heuristic
+// incumbent for early stops (the portfolio) and honors context
+// cancellation, deadlines (WithDeadline) and resource budgets
+// (WithBudget); WithSolver selects a single strategy. The same
 // engine is served over HTTP by cmd/obddd — Dial returns a Client whose
 // Solve keeps this exact error contract across the wire.
 //

@@ -15,7 +15,7 @@ import (
 // This file is the unified entry point of the package: one Solve call
 // behind which every solving strategy — the Friedman–Supowit dynamic
 // program, its parallel variant, branch-and-bound, divide-and-conquer,
-// brute force, and the portfolio racing them — is selected by name,
+// brute force, and the DP-first portfolio — is selected by name,
 // configured by functional options, and supervised by a context deadline
 // and a resource budget.
 
@@ -77,15 +77,17 @@ func WithBudget(b Budget) Option {
 	return func(c *solveConfig) { c.opts.Budget = b }
 }
 
-// WithTrace attaches a Tracer to the run. The portfolio solver runs
-// lanes concurrently against one tracer, so the implementation must be
-// safe for concurrent Emit calls (all tracers in this package are).
+// WithTrace attaches a Tracer to the run. The portfolio solver's
+// heuristic seeder emits from its own goroutine while the DP runs, so
+// the implementation must be safe for concurrent Emit calls (all tracers
+// in this package are).
 func WithTrace(tr Tracer) Option {
 	return func(c *solveConfig) { c.opts.Trace = tr }
 }
 
 // WithMeter attaches a Meter accumulating the run's operation counts.
-// The portfolio merges its lanes' private meters into it after the race.
+// The portfolio runs its exact lane on it directly, so a completed
+// portfolio run counts exactly what the "fs" solver counts.
 func WithMeter(m *Meter) Option {
 	return func(c *solveConfig) { c.opts.Meter = m }
 }
@@ -149,10 +151,11 @@ func NewTableChecked(n int) (*Table, error) {
 }
 
 // Solve finds an optimal variable ordering for tt under the configured
-// strategy. With no options it runs the portfolio solver on OBDDs: a
-// heuristic phase (sifting, then simulated annealing) seeds a race
-// between the Friedman–Supowit dynamic program and branch-and-bound, and
-// the first lane to prove optimality wins.
+// strategy. With no options it runs the portfolio solver on OBDDs: the
+// Friedman–Supowit dynamic program, with a heuristic seeder (sifting,
+// then simulated annealing) beside it whose incumbent is returned if a
+// deadline or budget stops the DP. A cell budget below the DP's
+// predicted peak selects branch-and-bound, bounded by the seeder's cost.
 //
 // A nil error guarantees Result.MinCost is the exact optimum. On
 // cancellation, deadline expiry or budget exhaustion, Solve returns
